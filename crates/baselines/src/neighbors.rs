@@ -2,7 +2,7 @@
 //!
 //! Each node tells all its neighbors about all its neighbors; after one
 //! round every node knows the topology to distance 2 and computes the
-//! largest clique it belongs to (exactly — by Bron–Kerbosch over its
+//! largest clique it belongs to (exactly — by [`graphs::exact`] over its
 //! closed neighborhood). Overlapping proposals are resolved in favor of
 //! the larger clique, ties toward the smaller minimum member ID.
 //!
@@ -103,10 +103,10 @@ impl NeighborsNeighbors {
             }
         }
         let local = b.build();
-        // Restrict to cliques containing me: run BK on my neighborhood
-        // subgraph plus me. Simplest exact approach: take the max clique of
-        // the subgraph induced on my closed neighborhood that contains me —
-        // equivalently max clique of G[Γ(me)] plus me.
+        // Restrict to cliques containing me: run the exact search on my
+        // neighborhood subgraph plus me. Simplest exact approach: take the
+        // max clique of the subgraph induced on my closed neighborhood that
+        // contains me — equivalently max clique of G[Γ(me)] plus me.
         let neighborhood: Vec<usize> =
             (0..ctx.degree()).map(|p| index_of[&ctx.neighbor_id(p)]).collect();
         let set = FixedBitSet::from_iter_with_capacity(ids.len(), neighborhood);

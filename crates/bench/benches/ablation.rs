@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
+//! Ablation benches for the implementation's main design choices.
 //!
 //! * **Step 4f exact vs estimated** (§5.3 remark): the paper suggests
 //!   sampling neighbors to cut local work; we measure the wall-clock win

@@ -55,6 +55,13 @@ fn bench_centralized(c: &mut Criterion) {
     group.bench_function("exact_120", |b| {
         b.iter(|| exact::maximum_clique(&small));
     });
+    // E11's instance family, on its first graph seed.
+    let e11 =
+        generators::planted_near_clique(300, 100, 0.0156, 0.04, &mut StdRng::seed_from_u64(0xEB00))
+            .graph;
+    group.bench_function("exact_e11_300x100", |b| {
+        b.iter(|| exact::maximum_clique(&e11));
+    });
     group.finish();
 }
 

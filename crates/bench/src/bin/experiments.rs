@@ -5,8 +5,8 @@
 //! ```
 //!
 //! With no experiment ids, runs everything. `--quick` (default) uses
-//! reduced trial counts; `--full` uses the counts recorded in
-//! EXPERIMENTS.md.
+//! reduced trial counts; `--full` uses the larger counts each experiment
+//! module sets for its `quick = false` mode.
 
 use std::time::Instant;
 

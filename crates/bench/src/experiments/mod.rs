@@ -1,7 +1,9 @@
 //! The experiment suite: one module per claim of the paper.
 //!
-//! See DESIGN.md §4 for the full index mapping experiments to claims and
-//! modules, and EXPERIMENTS.md for recorded paper-vs-measured outcomes.
+//! Module `eN` is experiment EN. The claim each one measures is the `what`
+//! line of its entry in [`all`], and the module docs describe its setup and
+//! the shape of result the paper predicts. Outcomes are printed as tables,
+//! not recorded; run the `experiments` binary to regenerate them.
 
 pub mod e1;
 pub mod e10;

@@ -13,9 +13,17 @@
 //! The probe runs through the unified [`congest::Session`] surface, so
 //! the guarantee covers the production entry path, not just the engine
 //! internals.
+//!
+//! The counters are process-global while libtest runs tests on
+//! concurrent threads, so every probe first calls [`serialize`] and holds
+//! its guard for its whole body: no other probe, and no harness thread,
+//! allocates inside its measured windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread;
+use std::time::Duration;
 
 use congest::{
     ChurnModel, Context, DelayModel, Driver, Engine, FaultModel, Message, Mode, Port, Protocol,
@@ -59,6 +67,39 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+static PROBE_LOCK: Mutex<()> = Mutex::new(());
+
+/// How long the allocation counter must hold still before a probe starts.
+const QUIET: Duration = Duration::from_millis(20);
+
+/// Runs the calling probe alone, once the test harness has gone quiet.
+///
+/// The lock keeps probes from overlapping. It cannot keep out the harness
+/// itself: when a probe returns, libtest's main thread records the result
+/// and starts the next test's thread, and both allocate while the next
+/// probe already holds the lock. That burst ends when the new thread
+/// blocks here, and no test can finish (so none can start) while the lock
+/// is held, so the guard also waits until the counter has held still for
+/// [`QUIET`] (giving up after 100 tries, when a leftover allocation fails
+/// the probe rather than hiding). The wait only delays the probe's start;
+/// it cannot hide an allocation the probe itself makes.
+///
+/// The lock guards no data, so a lock poisoned by a failed probe is taken
+/// anyway: one failure is reported once rather than cascading.
+fn serialize() -> MutexGuard<'static, ()> {
+    let guard = PROBE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut seen = allocations();
+    for _ in 0..100 {
+        thread::sleep(QUIET);
+        let now = allocations();
+        if now == seen {
+            break;
+        }
+        seen = now;
+    }
+    guard
+}
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
@@ -153,11 +194,13 @@ fn probe(mode: Mode) {
 
 #[test]
 fn congest_rounds_do_not_allocate() {
+    let _probe = serialize();
     probe(Mode::Congest);
 }
 
 #[test]
 fn local_rounds_do_not_allocate() {
+    let _probe = serialize();
     probe(Mode::Local);
 }
 
@@ -165,6 +208,7 @@ fn local_rounds_do_not_allocate() {
 /// steady state: chunk recycling must cover queue depths > one chunk.
 #[test]
 fn deep_queues_do_not_allocate() {
+    let _probe = serialize();
     struct Burst;
     impl Protocol for Burst {
         type Msg = Tick;
@@ -229,6 +273,7 @@ fn deep_queues_do_not_allocate() {
 /// wrapper — under **all four** delay models × **both** synchronizers.
 #[test]
 fn async_pulses_do_not_allocate() {
+    let _probe = serialize();
     let g = ring_with_chords(32);
     for delay in [
         DelayModel::Uniform { max_delay: 4 },
@@ -285,6 +330,7 @@ fn async_pulses_do_not_allocate() {
 /// zero-pulse drive, under every fault model × both synchronizers.
 #[test]
 fn faulty_pulses_do_not_allocate() {
+    let _probe = serialize();
     let g = ring_with_chords(32);
     for fault in [
         FaultModel::Drop { p_millis: 100 },
@@ -343,6 +389,7 @@ fn faulty_pulses_do_not_allocate() {
 /// both synchronizers.
 #[test]
 fn churned_pulses_do_not_allocate() {
+    let _probe = serialize();
     let g = ring_with_chords(32);
     let policy = congest::ChurnPolicy::Continue;
     for churn in [
@@ -399,6 +446,7 @@ fn churned_pulses_do_not_allocate() {
 /// into the `RunReport` stays off the heap.
 #[test]
 fn traced_pulses_do_not_allocate() {
+    let _probe = serialize();
     let g = ring_with_chords(32);
     let engines = [
         Engine::Flat { shards: 1 },
@@ -456,6 +504,7 @@ fn traced_pulses_do_not_allocate() {
 /// carries payloads, so every pulse floods the wave/wake machinery.
 #[test]
 fn batched_sparse_pulses_do_not_allocate() {
+    let _probe = serialize();
     /// Each node forwards one token on port 0 every pulse; every other
     /// port stays idle forever.
     struct Trickle;
@@ -519,6 +568,7 @@ fn batched_sparse_pulses_do_not_allocate() {
 /// strictly — and substantially — higher on the same instance.
 #[test]
 fn streamed_build_peak_is_the_final_plane() {
+    let _probe = serialize();
     let n = 10_000;
     let p = 8.0 / (n - 1) as f64;
     let mut stream = GnpStream::new(n, p, 33);

@@ -22,8 +22,7 @@
 //! version and a single `Vote`/`Winner` pass judges all collected
 //! candidates (§4.1).
 //!
-//! Two deliberate deviations from the letter of the pseudo-code, both
-//! documented in DESIGN.md:
+//! Two deliberate deviations from the letter of the pseudo-code:
 //!
 //! * The spanning tree comes from min-ID flooding (first-arrival parents)
 //!   rather than layered BFS; any rooted spanning tree supports the
