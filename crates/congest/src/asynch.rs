@@ -590,12 +590,11 @@ impl<P: Protocol> AsyncNetwork<P> {
                     self.churn.retire(v as u32, port, now);
                 }
             }
-            if self.queues.len(p) == 0 {
+            let Some(msg) = self.queues.pop(p) else {
                 let mut cp = control_plane!(self, now);
                 self.sync.on_idle_port(&mut cp, v, port, pulse);
                 continue;
-            }
-            let msg = self.queues.pop(p).expect("non-empty port queue pops");
+            };
             self.send(now, v, port, SyncMsg::Payload { pulse, msg });
             sent += 1;
         }

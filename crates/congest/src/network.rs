@@ -26,10 +26,12 @@
 //! * The link table is CSR-flattened (`crate::plane::Topology`): one
 //!   `u32` lookup maps a sender port to the matching receiver port, a
 //!   second recovers the receiver node on scatter.
-//! * Outgoing queues live in per-shard slabs of fixed-size chunks strung
-//!   on a free list; per-port state is 16 bytes, and pushes/pops recycle
-//!   chunks instead of allocating. Non-empty ports are tracked in a
-//!   bitset whose scan order is port order — no sorted insert on push.
+//! * Outgoing queues are per-port FIFOs whose oldest message sits inline
+//!   in the port's record; only messages queued behind it go to a
+//!   per-shard slab of chunks recycled through a free list. Port tables
+//!   are allocated zeroed, and a port carrying one message per round
+//!   never touches the slab. Non-empty ports are tracked in a bitset
+//!   whose scan order is port order — no sorted insert on push.
 //! * Delivery and inbox buffers are double-buffered and reused across
 //!   rounds; per-round growth only happens until the workload's
 //!   high-water mark is reached.
@@ -44,8 +46,10 @@
 //! its nodes. Messages carry a `(destination port, intra-train index)`
 //! key that is unique within a round, so the receiver-side sort yields one
 //! canonical inbox order (port-sorted, per-port FIFO) regardless of
-//! thread count; metrics are merged with commutative aggregates and each
-//! node owns its RNG stream. Together these make runs **bit-identical**
+//! thread count. A single shard skips the transfer buffers and the sort:
+//! it delivers straight from its queues in that same canonical order.
+//! Metrics are merged with commutative aggregates and each node owns its
+//! RNG stream. Together these make runs **bit-identical**
 //! across any `parallel(k)` — the contract `crates/core`'s
 //! `engine_equivalence` suite enforces.
 //!

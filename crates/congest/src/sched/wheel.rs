@@ -23,9 +23,9 @@
 //!   stored at all.
 //!
 //! Storage is the flat plane's chunked-slab machinery
-//! (`plane::PortQueues` with buckets as "ports"): events are strung
-//! eight to a chunk on intrusive `u32` links and chunks recycle through
-//! a free list, so the wheel performs **zero heap allocations** once the
+//! (`plane::PortQueues` with buckets as "ports"): a bucket's oldest
+//! event sits in its header, later ones are strung eight to a chunk on
+//! intrusive `u32` links, and chunks recycle through a free list, so the wheel performs **zero heap allocations** once the
 //! slab has grown to the run's high-water mark. The envelope travels
 //! *inside* its wheel entry — the old side-table of parked envelopes
 //! (and its per-insert tree-node allocation) is gone entirely.
@@ -39,9 +39,10 @@
 
 use crate::plane::PortQueues;
 
-/// Ceiling on the bucket count: headers are 16 bytes, so a horizon of
-/// 2²⁴ would already cost 256 MiB of headers. Delays are *virtual* time
-/// units — real workloads use small bounds — and the engine sizes the
+/// Ceiling on the bucket count: a header is 16 bytes plus one inline
+/// event, so a horizon of 2²⁴ would already cost over 256 MiB of
+/// headers. Delays are *virtual* time units — real workloads use small
+/// bounds — and the engine sizes the
 /// wheel off the sampler's *compiled* per-port maximum (at most the
 /// model's declared [`DelayModel::bound`](crate::sched::DelayModel::bound),
 /// and tighter for the per-port models), so hitting this means a

@@ -13,8 +13,8 @@
 //!   flowing *up* the tree, one `(subset, partial-count)` message per
 //!   round per edge, emitted in increasing subset order (step 4c).
 //! * [`FanoutStream`] — an ordered stream of `(subset, value)` pairs
-//!   flowing *down* or *out*, advanced one message per destination per
-//!   round (steps 4d–4e).
+//!   flowing *down* or *out*, one item per round to every destination
+//!   (steps 4d–4e).
 
 use std::collections::BTreeSet;
 
@@ -134,20 +134,24 @@ impl VectorConverge {
 }
 
 /// An append-only stream of `(x, value)` pairs fanned out to a fixed set
-/// of destinations, advanced at most one message per destination per
-/// [`pump`](FanoutStream::pump) call (= per round).
+/// of destinations, released at most one item per
+/// [`pump`](FanoutStream::pump) call (= per round). Every destination
+/// gets the same item in the same round, so one cursor serves them all;
+/// the caller sends each released item to every destination.
 #[derive(Clone, Debug)]
 pub struct FanoutStream {
     items: Vec<(u32, u32)>,
-    /// `(port, next item index)` per destination.
-    cursors: Vec<(Port, usize)>,
+    /// Index of the next item to release.
+    next: usize,
+    /// Number of destinations; an empty fan-out releases nothing.
+    fanout: usize,
 }
 
 impl FanoutStream {
-    /// Creates a stream toward `ports`.
+    /// Creates a stream toward `fanout` destinations.
     #[must_use]
-    pub fn new(ports: &[Port]) -> Self {
-        Self { items: Vec::new(), cursors: ports.iter().map(|&p| (p, 0)).collect() }
+    pub fn new(fanout: usize) -> Self {
+        Self { items: Vec::new(), next: 0, fanout }
     }
 
     /// Appends an item; it will be sent to every destination in order.
@@ -167,24 +171,21 @@ impl FanoutStream {
         self.items.is_empty()
     }
 
-    /// Advances every lagging destination by one item, returning the
-    /// `(port, x, value)` sends to perform this round.
-    pub fn pump(&mut self) -> Vec<(Port, u32, u32)> {
-        let mut out = Vec::new();
-        for (port, next) in &mut self.cursors {
-            if *next < self.items.len() {
-                let (x, v) = self.items[*next];
-                out.push((*port, x, v));
-                *next += 1;
-            }
+    /// Releases the next `(x, value)` item to send to every destination
+    /// this round, if any is pending.
+    pub fn pump(&mut self) -> Option<(u32, u32)> {
+        if self.drained() {
+            return None;
         }
-        out
+        let item = self.items[self.next];
+        self.next += 1;
+        Some(item)
     }
 
     /// `true` when every destination has received every appended item.
     #[must_use]
     pub fn drained(&self) -> bool {
-        self.cursors.iter().all(|&(_, next)| next >= self.items.len())
+        self.fanout == 0 || self.next >= self.items.len()
     }
 }
 
@@ -429,21 +430,24 @@ mod tests {
 
     #[test]
     fn fanout_pumps_one_per_destination() {
-        let mut f = FanoutStream::new(&[0, 3]);
+        let mut f = FanoutStream::new(2);
         assert!(f.drained() && f.is_empty());
         f.push(1, 10);
         f.push(2, 20);
         assert_eq!(f.len(), 2);
-        let round1 = f.pump();
-        assert_eq!(round1, vec![(0, 1, 10), (3, 1, 10)]);
-        let round2 = f.pump();
-        assert_eq!(round2, vec![(0, 2, 20), (3, 2, 20)]);
+        assert_eq!(f.pump(), Some((1, 10)));
+        assert_eq!(f.pump(), Some((2, 20)));
         assert!(f.drained());
-        assert!(f.pump().is_empty());
+        assert_eq!(f.pump(), None);
         // Late append restarts pumping.
         f.push(3, 30);
         assert!(!f.drained());
-        assert_eq!(f.pump(), vec![(0, 3, 30), (3, 3, 30)]);
+        assert_eq!(f.pump(), Some((3, 30)));
+        // With no destinations the stream is always drained.
+        let mut none = FanoutStream::new(0);
+        none.push(1, 10);
+        assert!(none.drained());
+        assert_eq!(none.pump(), None);
     }
 
     fn view_with_roster(members: &[u64], me: u64, neighbors: &[u64]) -> CompView {

@@ -328,10 +328,9 @@ impl DistNearClique {
             if *v != version || view.oversized {
                 continue;
             }
-            let all_ports: Vec<Port> = (0..degree).collect();
-            view.member_stream = Some(FanoutStream::new(&all_ports));
+            view.member_stream = Some(FanoutStream::new(degree));
             if view.is_member {
-                view.down = Some(FanoutStream::new(&view.contributors));
+                view.down = Some(FanoutStream::new(view.contributors.len()));
                 if view.parent_port.is_none() {
                     // Root: the convergecast totals are the global counts.
                     let converge = view.k_converge.as_ref().expect("root has a converge");
@@ -670,15 +669,13 @@ impl DistNearClique {
             if *v != version || view.oversized {
                 continue;
             }
-            if let Some(down) = view.down.as_mut() {
-                for (port, x, size) in down.pump() {
+            if let Some((x, size)) = view.down.as_mut().and_then(FanoutStream::pump) {
+                for &port in &view.contributors {
                     ctx.send(port, Msg::KSize { version, root: *root, x, size });
                 }
             }
-            if let Some(ms) = view.member_stream.as_mut() {
-                for (port, x, size) in ms.pump() {
-                    ctx.send(port, Msg::KMember { version, root: *root, x, size });
-                }
+            if let Some((x, size)) = view.member_stream.as_mut().and_then(FanoutStream::pump) {
+                ctx.broadcast(Msg::KMember { version, root: *root, x, size });
             }
         }
     }
